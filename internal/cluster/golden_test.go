@@ -60,8 +60,10 @@ type goldenResult struct {
 
 // goldenCases are the fixed-seed runs the equivalence test replays. They
 // cover both modes, open and closed loops, partitioned allocation with
-// periodic rebalancing, and failure injection — every code path through
-// station add/advance/complete/setCapacity/clear.
+// periodic rebalancing, failure injection, heterogeneous host classes and
+// bursty (session-train, on/off) arrivals — every code path through
+// station add/advance/complete/setCapacity/clear and through the
+// dispatcher's per-host demand table.
 func goldenCases() map[string]Config {
 	webOpen := func(rate float64) ServiceSpec {
 		return ServiceSpec{
@@ -123,6 +125,42 @@ func goldenCases() map[string]Config {
 			Horizon:             300,
 			Warmup:              50,
 			Seed:                13,
+		},
+		// Two hardware classes: station capacities and utilization
+		// normalization scale with each class's per-resource capability.
+		"consolidated-hetero-classes": {
+			Mode:     Consolidated,
+			Services: []ServiceSpec{webOpen(0.6 * 2 * workload.WebDiskRate), dbOpen(0.6 * 2 * workload.DBCPURate)},
+			HostClasses: []HostClass{
+				{Name: "fast", Count: 2, Capability: map[string]float64{"cpu": 1.5, "diskio": 1.2}},
+				{Name: "slow", Count: 1, Capability: map[string]float64{"cpu": 0.7}},
+			},
+			Horizon: 200,
+			Warmup:  40,
+			Seed:    17,
+		},
+		// Bursty open loops: session trains (the typed pending-request
+		// heap) and on/off MMPP bursts on dedicated pools.
+		"dedicated-sessions-onoff": {
+			Mode: Dedicated,
+			Services: []ServiceSpec{
+				{
+					Profile:          workload.SPECwebEcommerce(),
+					Overhead:         virt.WebHostOverhead(),
+					Arrivals:         workload.NewSessions(0.5*workload.WebDiskRate/4, 4, stats.NewExponential(1.0/0.5)),
+					DedicatedServers: 2,
+				},
+				{
+					Profile:          workload.TPCWEbook(),
+					Overhead:         virt.DBHostOverhead(),
+					Arrivals:         workload.OnOff(2*workload.DBCPURate, 2, 3),
+					DedicatedServers: 2,
+				},
+			},
+			AdmissionPerHost: 64,
+			Horizon:          200,
+			Warmup:           40,
+			Seed:             19,
 		},
 	}
 }
