@@ -163,3 +163,57 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestUngatedAllocs: a benchmark named in allocsUngated may record null
+// allocs/op or change its count without failing the gate; a null count on
+// any other benchmark is still a missing metric.
+func TestUngatedAllocs(t *testing.T) {
+	old := writeBench(t, "old.json", `{"benchmarks":[
+  {"name":"BenchmarkShardedRun/shards=4","iterations":30,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":0},
+  {"name":"BenchmarkA","iterations":1000,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":1}
+]}`)
+	cases := []struct {
+		name, body string
+		wantExit   int
+		wantOut    string
+	}{
+		{
+			name: "null count on an ungated benchmark",
+			body: `{"benchmarks":[
+  {"name":"BenchmarkShardedRun/shards=4","iterations":30,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":null},
+  {"name":"BenchmarkA","iterations":1000,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":1}
+]}`,
+			wantExit: exitOK,
+			wantOut:  "ungated",
+		},
+		{
+			name: "higher count on an ungated benchmark",
+			body: `{"benchmarks":[
+  {"name":"BenchmarkShardedRun/shards=4","iterations":30,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":5000},
+  {"name":"BenchmarkA","iterations":1000,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":1}
+]}`,
+			wantExit: exitOK,
+			wantOut:  "info",
+		},
+		{
+			name: "null count on a gated benchmark",
+			body: `{"benchmarks":[
+  {"name":"BenchmarkShardedRun/shards=4","iterations":30,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":null},
+  {"name":"BenchmarkA","iterations":1000,"ns_per_op":100,"bytes_per_op":32,"allocs_per_op":null}
+]}`,
+			wantExit: exitMissing,
+			wantOut:  "MISSING",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if got := run([]string{old, writeBench(t, "new.json", tc.body)}, &stdout, &stderr); got != tc.wantExit {
+				t.Fatalf("exit = %d, want %d\n%s", got, tc.wantExit, stdout.String())
+			}
+			if !strings.Contains(stdout.String(), tc.wantOut) {
+				t.Fatalf("stdout missing %q:\n%s", tc.wantOut, stdout.String())
+			}
+		})
+	}
+}

@@ -7,6 +7,11 @@
 // benchmarks) events/s in a JSON file, so the performance trajectory of
 // the hot path is tracked in-repo from PR to PR.
 //
+// BenchmarkShardedRun runs -count 5 times with -benchmem; its record holds
+// the medians, and its allocs/op only where all five runs agree (null
+// otherwise: the parallel shards' goroutine scheduling makes that count
+// jitter, and benchdiff leaves it ungated).
+//
 // Usage:
 //
 //	go run ./cmd/simbench [-o BENCH_simcore.json] [-benchtime 20000x] [-macrotime 30x]
@@ -16,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/exec"
 	"regexp"
@@ -24,15 +30,20 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/stats"
 )
 
-// Record is one benchmark measurement.
+// Record is one benchmark measurement. A benchmark run several times
+// (Runs > 1) records the median of each figure.
 type Record struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Name       string  `json:"name"`
+	Iterations int64   `json:"iterations"`
+	Runs       int     `json:"runs,omitempty"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	BytesPerOp int64   `json:"bytes_per_op"`
+	// AllocsPerOp is null when it was not measured (no -benchmem) or the
+	// runs disagree.
+	AllocsPerOp *int64 `json:"allocs_per_op"`
 	// EventsPerSec is the simulator's aggregate event rate, reported only
 	// by the whole-run benchmarks (BenchmarkShardedRun).
 	EventsPerSec float64 `json:"events_per_sec,omitempty"`
@@ -58,16 +69,14 @@ type File struct {
 var benchLine = regexp.MustCompile(
 	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.eE+]+) events/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
-// runBench executes one `go test -bench` invocation and parses its rows.
-// benchmem is off for the parallel whole-run benchmark: its allocation
-// counts jitter with goroutine scheduling, and the allocs gate treats any
-// increase as a regression.
-func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record {
+// runBench executes one `go test -bench` invocation, count runs of each
+// benchmark, and parses its rows into one record per benchmark.
+func runBench(pattern, benchtime string, benchmem bool, count int, pkgs ...string) []Record {
 	args := []string{"test", "-run", "^$", "-bench", pattern}
 	if benchmem {
 		args = append(args, "-benchmem")
 	}
-	args = append(args, "-benchtime", benchtime)
+	args = append(args, "-benchtime", benchtime, "-count", strconv.Itoa(count))
 	args = append(args, pkgs...)
 	cmd := exec.Command("go", args...)
 	cmd.Stderr = os.Stderr
@@ -86,7 +95,8 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
 		var eps float64
-		var bytes, allocs int64
+		var bytes int64
+		var allocs *int64
 		if m[4] != "" {
 			eps, _ = strconv.ParseFloat(m[4], 64)
 		}
@@ -94,7 +104,8 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 			bytes, _ = strconv.ParseInt(m[5], 10, 64)
 		}
 		if m[6] != "" {
-			allocs, _ = strconv.ParseInt(m[6], 10, 64)
+			n, _ := strconv.ParseInt(m[6], 10, 64)
+			allocs = &n
 		}
 		records = append(records, Record{
 			Name:         m[1],
@@ -105,7 +116,48 @@ func runBench(pattern, benchtime string, benchmem bool, pkgs ...string) []Record
 			EventsPerSec: eps,
 		})
 	}
-	return records
+	if count <= 1 {
+		return records
+	}
+	return medians(records)
+}
+
+// medians folds repeated rows of each benchmark, in first-seen order, into
+// one record of median figures. allocs/op is kept only when every run
+// reports the same count.
+func medians(rows []Record) []Record {
+	var order []string
+	byName := map[string][]Record{}
+	for _, r := range rows {
+		if _, ok := byName[r.Name]; !ok {
+			order = append(order, r.Name)
+		}
+		byName[r.Name] = append(byName[r.Name], r)
+	}
+	out := make([]Record, 0, len(order))
+	for _, name := range order {
+		runs := byName[name]
+		var ns, bytes, eps []float64
+		allocs := runs[0].AllocsPerOp
+		for _, r := range runs {
+			ns = append(ns, r.NsPerOp)
+			bytes = append(bytes, float64(r.BytesPerOp))
+			eps = append(eps, r.EventsPerSec)
+			if allocs != nil && (r.AllocsPerOp == nil || *r.AllocsPerOp != *allocs) {
+				allocs = nil
+			}
+		}
+		out = append(out, Record{
+			Name:         name,
+			Iterations:   runs[0].Iterations,
+			Runs:         len(runs),
+			NsPerOp:      stats.Quantile(ns, 0.5),
+			BytesPerOp:   int64(math.Round(stats.Quantile(bytes, 0.5))),
+			AllocsPerOp:  allocs,
+			EventsPerSec: stats.Quantile(eps, 0.5),
+		})
+	}
+	return out
 }
 
 func main() {
@@ -119,16 +171,16 @@ func main() {
 
 	records := runBench(
 		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkTimingWheel|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",
-		*benchtime, true,
+		*benchtime, true, 1,
 		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve")
 	// The whole-run shard benchmark is ~10^5 slower per op than the
 	// microbenchmarks; a fixed 20000x count would run for hours, so it
-	// gets its own much smaller fixed count.
-	records = append(records, runBench("BenchmarkShardedRun", *macrotime, false, "./internal/cluster")...)
+	// gets its own much smaller fixed count, repeated five times.
+	records = append(records, runBench("BenchmarkShardedRun", *macrotime, true, 5, "./internal/cluster")...)
 	// The placement planner runs hundreds of evaluations per op (~20 ms);
 	// like the sharded run it gets the macro count, and its pool-parallel
 	// batches make allocation counts jitter, so -benchmem stays off.
-	records = append(records, runBench("BenchmarkPlan", *macrotime, false, "./internal/plan")...)
+	records = append(records, runBench("BenchmarkPlan", *macrotime, false, 1, "./internal/plan")...)
 	if len(records) == 0 {
 		fmt.Fprintln(os.Stderr, "simbench: no benchmark results parsed")
 		os.Exit(1)
@@ -143,7 +195,9 @@ func main() {
 	for _, r := range records {
 		reg.Gauge(r.Name + "/ns_per_op").Set(r.NsPerOp)
 		reg.Gauge(r.Name + "/bytes_per_op").Set(float64(r.BytesPerOp))
-		reg.Gauge(r.Name + "/allocs_per_op").Set(float64(r.AllocsPerOp))
+		if r.AllocsPerOp != nil {
+			reg.Gauge(r.Name + "/allocs_per_op").Set(float64(*r.AllocsPerOp))
+		}
 		if r.EventsPerSec > 0 {
 			reg.Gauge(r.Name + "/events_per_sec").Set(r.EventsPerSec)
 		}
@@ -166,7 +220,11 @@ func main() {
 		os.Exit(1)
 	}
 	for _, r := range records {
-		fmt.Printf("%-45s %12.1f ns/op %6d B/op %4d allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
+		allocs := "null"
+		if r.AllocsPerOp != nil {
+			allocs = strconv.FormatInt(*r.AllocsPerOp, 10)
+		}
+		fmt.Printf("%-45s %12.1f ns/op %6d B/op %4s allocs/op", r.Name, r.NsPerOp, r.BytesPerOp, allocs)
 		if r.EventsPerSec > 0 {
 			fmt.Printf(" %12.0f events/s", r.EventsPerSec)
 		}

@@ -6,13 +6,13 @@ import (
 	"repro/internal/desim"
 )
 
-// Arena is the reusable allocation pool of one simulation run: the
+// Arena is the allocation pool of one shard of a simulation run: the
 // discrete-event simulator (whose event storage dominates a run's
 // allocations) plus freelists for the request and jobRef objects churned
-// on the dispatch hot path. A run borrows an arena, allocates through it,
-// and returns it; the next run then schedules into already-grown event
-// storage and recycles the previous run's request graph instead of
-// re-allocating it.
+// on the dispatch hot path. Every run allocates through one arena per
+// shard — its own, or one borrowed from Config.Arenas — so a completed
+// request and its jobRefs are recycled by later admissions of the same
+// run; a pooled arena also carries its grown storage into the next run.
 //
 // Reuse never changes results: the simulator is Reset to a state
 // indistinguishable from a fresh one (clock, sequence numbers and
@@ -63,11 +63,7 @@ func (a *Arena) recycleRequest(req *request) {
 		a.jobRefs = append(a.jobRefs, j)
 		req.refs[i] = nil
 	}
-	refs, stations := req.refs[:0], req.stations[:0]
-	for i := range req.stations {
-		req.stations[i] = nil
-	}
-	*req = request{refs: refs, stations: stations}
+	*req = request{refs: req.refs[:0]}
 	a.requests = append(a.requests, req)
 }
 

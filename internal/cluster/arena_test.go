@@ -7,9 +7,9 @@ import (
 	"repro/internal/replicate"
 )
 
-// TestArenaRunMatchesPlain: a Run through a (repeatedly reused) arena must
-// reproduce an arena-free Run bit for bit — the arena is an allocation
-// optimization, never a semantic one. Round 2+ exercises the reuse path:
+// TestArenaRunMatchesPlain: a Run through a (repeatedly reused) pooled arena
+// must reproduce a Run on fresh arenas (Config.Arenas nil) bit for bit —
+// pooling is an allocation optimization, never a semantic one. Round 2+ exercises the reuse path:
 // recycled simulator storage and request/jobRef freelists.
 func TestArenaRunMatchesPlain(t *testing.T) {
 	cfg := replCfg()
@@ -33,7 +33,7 @@ func TestArenaRunMatchesPlain(t *testing.T) {
 
 // TestArenaReplicationsDeterministic: whole replication studies through one
 // shared pool — concurrent workers checking arenas in and out — stay
-// identical to the arena-free study, run after run.
+// identical to the study without a pool, run after run.
 func TestArenaReplicationsDeterministic(t *testing.T) {
 	ctx := context.Background()
 	cfg := replCfg()

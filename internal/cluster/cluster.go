@@ -148,12 +148,14 @@ type Config struct {
 	// interleaved (but individually intact) lines.
 	Tracer desim.Tracer
 
-	// Arenas, when non-nil, supplies reusable allocation arenas: each run
-	// borrows one (event storage plus request/jobRef freelists) and
-	// returns it on completion, so sequential runs — replications of one
-	// point, or consecutive sweep points — stop re-growing simulator
-	// state. Purely an allocation optimization; results are identical
-	// with or without it.
+	// Arenas controls arena reuse across runs. Every run allocates its
+	// simulator, requests and jobRefs through one Arena per shard, which
+	// recycles completed requests within the run. When Arenas is nil each
+	// run creates its own arenas and drops them at the end; when non-nil
+	// the run borrows them from the pool and returns them on completion,
+	// so sequential runs — replications of one point, or consecutive
+	// sweep points — stop re-growing simulator state. Purely an
+	// allocation optimization; results are identical with or without it.
 	Arenas *ArenaPool
 
 	// Shards requests intra-run parallelism. The run is first partitioned

@@ -11,15 +11,26 @@ import (
 
 // request is one in-flight service request.
 type request struct {
-	service  int
-	host     *host
-	arrived  desim.Time
-	refs     []*jobRef
-	stations []*station
-	left     int  // stations still draining
-	counted  bool // arrived after warmup
-	client   int  // closed-loop client index, -1 for open loop
-	dead     bool // lost to host failure
+	service int
+	host    *host
+	arrived desim.Time
+	refs    []*jobRef // one per station holding work, returned to the arena on completion
+	left    int       // stations still draining
+	counted bool      // arrived after warmup
+	client  int       // closed-loop client index, -1 for open loop
+	dead    bool      // lost to host failure
+}
+
+// demand is one entry of a host's per-service demand table: everything
+// admit needs to deposit one resource's work, resolved once by build.
+// Resources the service never touches (infinite serving rate) have no
+// entry, so admit draws no sample for them.
+type demand struct {
+	dist    stats.Distribution
+	hwRate  float64  // hardware serving rate on the resource
+	natRate float64  // native rate: hwRate capped by the OS ceiling
+	factor  float64  // virtualization impact divisor; 1 when none applies
+	st      *station // nil: the sample is drawn but no work is deposited
 }
 
 // host is one physical server.
@@ -34,7 +45,10 @@ type host struct {
 	// ordered lists every station of the host in deterministic build
 	// order (sorted resource order, VMs in position order), so run-time
 	// visitors iterate without sorting map keys per call.
-	ordered  []*station
+	ordered []*station
+	// demand[svc] is the admission table of service svc on this host, in
+	// sorted resource order; nil for services the host does not run.
+	demand   [][]demand
 	inflight int
 	up       bool
 	// capability reports the host's per-resource speed relative to the
@@ -54,15 +68,15 @@ func (h *host) everyStation(fn func(*station)) {
 type runner struct {
 	cfg *Config
 
-	// One simulator (and arena) per shard. Shard 0 is the whole run when
-	// sequential; otherwise every coupling component lives entirely on
-	// one shard and shards share no mutable state while running (see
-	// shard.go). svcShard maps each service to its shard; nil means
-	// everything on shard 0. The *One arrays back the slices in the
-	// common sequential case so it allocates nothing per run.
+	// One arena, and so one simulator, per shard. Shard 0 is the whole
+	// run when sequential; otherwise every coupling component lives
+	// entirely on one shard and shards share no mutable state while
+	// running (see shard.go). svcShard maps each service to its shard;
+	// nil means everything on shard 0. The *One arrays back the slices in
+	// the common sequential case so it allocates nothing per run.
 	nshards  int
 	sims     []*desim.Simulator
-	arenas   []*Arena // nil = allocate requests/jobRefs individually
+	arenas   []*Arena
 	svcShard []int
 	// shardFailures is the per-shard single-writer failure count, summed
 	// into Result.Failures at finish.
@@ -76,11 +90,11 @@ type runner struct {
 
 	root      *stats.Stream
 	hosts     []*host
-	byService [][]*host  // dispatch pools per service
-	rrNext    []int      // round-robin cursors per service
-	resources [][]string // per-service sorted demanded resources
+	byService [][]*host // dispatch pools per service
+	rrNext    []int     // round-robin cursors per service
 	demands   []*stats.Stream
 	thinks    []*stats.Stream
+	clients   [][]func()          // per-service closed-loop dispatch callbacks
 	p95, p99  []*stats.P2Quantile // per-service response-time percentiles
 	res       *Result
 
@@ -105,27 +119,23 @@ func Run(cfg Config) (*Result, error) {
 	r.planShards()
 	if r.nshards == 1 {
 		r.sims = r.simsOne[:]
+		r.arenas = r.arenasOne[:]
 		r.shardFailures = r.failuresOne[:]
 	} else {
 		r.sims = make([]*desim.Simulator, r.nshards)
+		r.arenas = make([]*Arena, r.nshards)
 		r.shardFailures = make([]int64, r.nshards)
 	}
-	if cfg.Arenas != nil {
-		if r.nshards == 1 {
-			r.arenas = r.arenasOne[:]
-		} else {
-			r.arenas = make([]*Arena, r.nshards)
-		}
-		for s := range r.sims {
-			a := cfg.Arenas.Get()
-			r.arenas[s] = a
-			r.sims[s] = a.sim
+	for s := range r.sims {
+		var a *Arena
+		if cfg.Arenas != nil {
+			a = cfg.Arenas.Get()
 			defer cfg.Arenas.Put(a)
+		} else {
+			a = NewArena()
 		}
-	} else {
-		for s := range r.sims {
-			r.sims[s] = desim.New()
-		}
+		r.arenas[s] = a
+		r.sims[s] = a.sim
 	}
 	r.applyQueue()
 	if cfg.Tracer != nil {
@@ -165,29 +175,55 @@ func (r *runner) build() {
 	r.rrNext = make([]int, len(cfg.Services))
 	r.demands = make([]*stats.Stream, len(cfg.Services))
 	r.thinks = make([]*stats.Stream, len(cfg.Services))
-	r.resources = make([][]string, len(cfg.Services))
 	r.p95 = make([]*stats.P2Quantile, len(cfg.Services))
 	r.p99 = make([]*stats.P2Quantile, len(cfg.Services))
+	// Map iteration order is randomized; sample demands in a fixed,
+	// sorted resource order so runs are seed-deterministic.
+	svcResources := make([][]string, len(cfg.Services))
 	for i := range cfg.Services {
 		r.p95[i] = stats.NewP2Quantile(0.95)
 		r.p99[i] = stats.NewP2Quantile(0.99)
 		r.demands[i] = r.root.Substream(fmt.Sprintf("demand/%d", i))
 		r.thinks[i] = r.root.Substream(fmt.Sprintf("think/%d", i))
-		// Map iteration order is randomized; sample demands in a fixed,
-		// sorted resource order so runs are seed-deterministic.
-		r.resources[i] = resourceSet(cfg.Services[i : i+1])
+		svcResources[i] = resourceSet(cfg.Services[i : i+1])
 	}
 
 	mkStation := func(shard int, name string, capacity float64) *station {
 		st := newStation(r.sims[shard], name, capacity, r.onStationDone)
-		if r.arenas != nil {
-			st.newJob = r.arenas[shard].getJobRef
-		} else {
-			// No arena: the runner never reads a request's refs after
-			// completion, so stations can recycle jobRefs locally.
-			st.recycleJobs = true
-		}
+		st.newJob = r.arenas[shard].getJobRef
 		return st
+	}
+	// demandTable resolves, per service the host runs, the rates, impact
+	// factor and station of every resource the service demands.
+	demandTable := func(h *host) {
+		h.demand = make([][]demand, len(cfg.Services))
+		for pos, svc := range h.services {
+			spec := &cfg.Services[svc]
+			for _, res := range svcResources[svc] {
+				hwRate := spec.Profile.ServingRate(res)
+				if math.IsInf(hwRate, 1) {
+					continue
+				}
+				d := demand{
+					dist:    spec.Profile.Demands[res],
+					hwRate:  hwRate,
+					natRate: nativeRate(spec.Profile, res),
+					factor:  1,
+				}
+				if cfg.Mode == Consolidated {
+					v := activeVMs(cfg.Services, h.services, res)
+					if f, err := spec.Overhead.RawFactor(res, v); err == nil && f > 0 {
+						d.factor = f
+					}
+				}
+				if h.vmStations != nil {
+					d.st = h.vmStations[pos][res]
+				} else {
+					d.st = h.stations[res]
+				}
+				h.demand[svc] = append(h.demand[svc], d)
+			}
+		}
 	}
 	newHost := func(id, shard int, services []int, capability func(string) float64) *host {
 		h := &host{id: id, shard: shard, services: services, up: true, capability: capability}
@@ -216,6 +252,7 @@ func (r *runner) build() {
 				h.ordered = append(h.ordered, st)
 			}
 		}
+		demandTable(h)
 		return h
 	}
 	referenceHost := func(string) float64 { return 1 }
@@ -380,6 +417,7 @@ func pick(specs []ServiceSpec, idx []int) []ServiceSpec {
 
 // startDrivers launches open-loop arrival streams and closed-loop clients.
 func (r *runner) startDrivers() {
+	r.clients = make([][]func(), len(r.cfg.Services))
 	for svc := range r.cfg.Services {
 		spec := &r.cfg.Services[svc]
 		sim := r.sims[r.shardOf(svc)]
@@ -401,13 +439,17 @@ func (r *runner) startDrivers() {
 			continue
 		}
 		// Closed loop: stagger client starts uniformly over one think time.
+		// Each client's dispatch callback is built once and rescheduled
+		// after every think.
+		r.clients[svc] = make([]func(), spec.Clients)
 		for c := 0; c < spec.Clients; c++ {
 			svc, c := svc, c
+			r.clients[svc][c] = func() { r.dispatch(svc, c) }
 			start := r.thinkTime(svc) * r.thinks[svc].Float64()
 			if start > r.cfg.Horizon {
 				continue
 			}
-			sim.At(start, func() { r.dispatch(svc, c) })
+			sim.At(start, r.clients[svc][c])
 		}
 	}
 }
@@ -426,7 +468,7 @@ func (r *runner) clientThink(svc, client int) {
 	d := r.thinkTime(svc)
 	sim := r.sims[r.shardOf(svc)]
 	if sim.Now()+d <= r.cfg.Horizon {
-		sim.After(d, func() { r.dispatch(svc, client) })
+		sim.After(d, r.clients[svc][client])
 	}
 }
 
@@ -451,7 +493,7 @@ func (r *runner) dispatch(svc, client int) {
 		}
 		return
 	}
-	req := r.newRequest(shard)
+	req := r.arenas[shard].getRequest()
 	req.service, req.host, req.arrived = svc, h, now
 	req.counted, req.client = counted, client
 	r.admit(req)
@@ -478,52 +520,25 @@ func (r *runner) pickHost(svc int) *host {
 	return nil
 }
 
-// admit deposits the request's work on its host's stations.
+// admit deposits the request's work on its host's stations, walking the
+// host's precomputed demand table for the service.
 func (r *runner) admit(req *request) {
-	cfg := r.cfg
-	spec := &cfg.Services[req.service]
 	h := req.host
 	h.inflight++
 	r.obsAdmissions.Inc()
-
-	// Which station set serves this request?
-	vmPos := -1
-	if h.vmStations != nil {
-		for pos, s := range h.services {
-			if s == req.service {
-				vmPos = pos
-				break
-			}
-		}
-	}
-
-	for _, res := range r.resources[req.service] {
-		dist := spec.Profile.Demands[res]
-		hwRate := spec.Profile.ServingRate(res)
-		if math.IsInf(hwRate, 1) {
+	rng := r.demands[req.service]
+	table := h.demand[req.service]
+	for i := range table {
+		d := &table[i]
+		// Sample a hardware-speed demand, rescale it to native speed, then
+		// divide by the impact factor: three separate roundings, in this
+		// order, so every run reproduces the per-request arithmetic.
+		work := d.dist.Sample(rng) * d.hwRate / d.natRate
+		work /= d.factor
+		if d.st == nil {
 			continue
 		}
-		natRate := nativeRate(spec.Profile, res)
-		// Sample a hardware-speed demand and rescale to native speed.
-		work := dist.Sample(r.demands[req.service]) * hwRate / natRate
-		if cfg.Mode == Consolidated {
-			v := activeVMs(cfg.Services, h.services, res)
-			factor, err := spec.Overhead.RawFactor(res, v)
-			if err == nil && factor > 0 {
-				work /= factor
-			}
-		}
-		var st *station
-		if vmPos >= 0 {
-			st = h.vmStations[vmPos][res]
-		} else {
-			st = h.stations[res]
-		}
-		if st == nil {
-			continue
-		}
-		req.stations = append(req.stations, st)
-		req.refs = append(req.refs, st.add(req, work))
+		req.refs = append(req.refs, d.st.add(req, work))
 		req.left++
 	}
 	if req.left == 0 {
@@ -561,18 +576,7 @@ func (r *runner) completeRequest(req *request) {
 	// A completed request has drained every station (left == 0), so its
 	// whole object graph is free for reuse. Failure-path requests never
 	// get here and stay with the garbage collector.
-	if r.arenas != nil && !req.dead {
-		r.arenas[req.host.shard].recycleRequest(req)
-	}
-}
-
-// newRequest hands out a zeroed request, recycled when an arena is
-// attached.
-func (r *runner) newRequest(shard int) *request {
-	if r.arenas != nil {
-		return r.arenas[shard].getRequest()
-	}
-	return &request{}
+	r.arenas[req.host.shard].recycleRequest(req)
 }
 
 // startFailures arms the host failure/repair processes. Each host's

@@ -121,3 +121,51 @@ func TestPickHostSkipsDownHosts(t *testing.T) {
 		t.Fatal("all-down pool yielded a host")
 	}
 }
+
+// TestRunAllocsIndependentOfAdmissions: a run's allocations are set-up
+// cost (hosts, stations, RNG streams, storage grown to the peak backlog),
+// not per-request cost. Quadrupling the horizon of a sequential dedicated
+// run with Poisson and session-train services roughly quadruples its
+// admissions; the extra allocations must stay under 1% of the extra
+// admissions, i.e. requests, jobRefs, events and pending session times are
+// all recycled.
+func TestRunAllocsIndependentOfAdmissions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-run allocation count")
+	}
+	measure := func(horizon float64) (allocs float64, admissions uint64) {
+		allocs = testing.AllocsPerRun(2, func() {
+			res, err := Run(Config{
+				Mode: Dedicated,
+				Services: []ServiceSpec{
+					webSpec(1500, 2),
+					{
+						Profile:          workload.SPECwebEcommerce(),
+						Arrivals:         workload.NewSessions(100, 8, stats.NewExponential(2)),
+						DedicatedServers: 2,
+					},
+				},
+				Horizon: horizon,
+				Warmup:  1,
+				Seed:    31,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			admissions = res.Obs.Counters["cluster/admissions"]
+		})
+		return allocs, admissions
+	}
+	const h = 10
+	a1, n1 := measure(h)
+	a4, n4 := measure(4 * h)
+	if n4 < 3*n1 {
+		t.Fatalf("admissions %d at 4H vs %d at H: the longer run did not scale", n4, n1)
+	}
+	extra := float64(n4 - n1)
+	if grow := a4 - a1; grow >= 0.01*extra {
+		t.Fatalf("allocs grew %.0f (%.0f → %.0f) for %.0f extra admissions: the dispatch path allocates per request",
+			grow, a1, a4, extra)
+	}
+	t.Logf("allocs %.0f at H (%d admissions), %.0f at 4H (%d admissions)", a1, n1, a4, n4)
+}

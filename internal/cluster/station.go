@@ -66,15 +66,11 @@ type station struct {
 	completeFn func()       // cached method value; avoids an alloc per reschedule
 	doneBuf    []*jobRef    // scratch for complete; reused across events
 	onDone     func(*request, *station)
-	newJob     func() *jobRef // optional arena allocator; nil = plain alloc
-
-	// recycleJobs opts into the station-local jobRef freelist: completed
-	// jobs are zeroed and reused by later admissions. Safe only when no
-	// caller retains a jobRef past completion (the runner's contract —
-	// request refs are never read again without an arena); direct users
-	// that probe heapIdx on stale refs must leave it off.
-	recycleJobs bool
-	freeJobs    []*jobRef
+	// newJob allocates jobRefs. The runner points it at the shard's
+	// arena, which takes completed jobRefs back through their request;
+	// nil (direct station users) allocates each one, so stale refs stay
+	// safe to probe.
+	newJob func() *jobRef
 }
 
 func newStation(sim *desim.Simulator, name string, capacity float64, onDone func(*request, *station)) *station {
@@ -137,15 +133,9 @@ func (st *station) setCapacity(c float64) {
 func (st *station) add(req *request, work float64) *jobRef {
 	st.advance()
 	var j *jobRef
-	switch {
-	case st.newJob != nil:
+	if st.newJob != nil {
 		j = st.newJob()
-	case st.recycleJobs && len(st.freeJobs) > 0:
-		n := len(st.freeJobs) - 1
-		j = st.freeJobs[n]
-		st.freeJobs[n] = nil
-		st.freeJobs = st.freeJobs[:n]
-	default:
+	} else {
 		j = &jobRef{}
 	}
 	j.req, j.threshold, j.seq = req, st.V+math.Max(work, 0), st.seq
@@ -217,14 +207,8 @@ func (st *station) complete() {
 	for _, j := range done {
 		st.onDone(j.req, st)
 	}
-	// Drop request references before the buffer is parked for reuse;
-	// opted-in stations recycle the completed jobRefs themselves.
-	for i, j := range done {
-		if st.recycleJobs {
-			*j = jobRef{}
-			j.heapIdx = -1
-			st.freeJobs = append(st.freeJobs, j)
-		}
+	// Drop the references before the buffer is parked for reuse.
+	for i := range done {
 		done[i] = nil
 	}
 	st.doneBuf = done[:0]

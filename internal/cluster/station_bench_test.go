@@ -3,8 +3,6 @@ package cluster
 import (
 	"fmt"
 	"testing"
-
-	"repro/internal/desim"
 )
 
 // BenchmarkStationHighOccupancy measures one arrival→completion cycle at a
@@ -12,23 +10,27 @@ import (
 // where the original implementation paid O(k) per event (scan-to-drain in
 // advance, scan-for-min in reschedule, scan-to-collect in complete) and the
 // virtual-time formulation pays O(log k). Each iteration admits one short
-// job and runs the simulator until its completion event fires.
+// job and runs the simulator until its completion event fires, drawing the
+// request and its jobRef from an arena and recycling them as the runner
+// does.
 func BenchmarkStationHighOccupancy(b *testing.B) {
 	for _, k := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sim := desim.New()
+			a := NewArena()
+			sim := a.sim
 			done := 0
 			st := newStation(sim, "bench", 1, func(*request, *station) { done++ })
-			st.recycleJobs = true // the runner's non-arena configuration
+			st.newJob = a.getJobRef
 			for i := 0; i < k; i++ {
 				st.add(&request{}, 1e15) // background jobs that never finish
 			}
-			req := &request{}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.add(req, 1e-9)
+				req := a.getRequest()
+				req.refs = append(req.refs, st.add(req, 1e-9))
 				sim.Run(sim.Now() + 1)
+				a.recycleRequest(req)
 			}
 			b.StopTimer()
 			if done != b.N {

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -52,19 +51,56 @@ func (p *Sessions) CloneProcess() ArrivalProcess {
 	return NewSessions(p.SessionRate, p.MeanRequests, p.Gap)
 }
 
-// sessionHeap is a min-heap of absolute request times.
+// sessionHeap is a binary min-heap of absolute request times, typed so
+// pushes and pops never box a float64 into an interface. The sift loops
+// make container/heap's comparisons in container/heap's order, so the
+// array evolves exactly as it would under heap.Push and heap.Pop.
 type sessionHeap []float64
 
-func (h sessionHeap) Len() int           { return len(h) }
-func (h sessionHeap) Less(i, j int) bool { return h[i] < h[j] }
-func (h sessionHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *sessionHeap) Push(x any)        { *h = append(*h, x.(float64)) }
-func (h *sessionHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// push adds t.
+func (h *sessionHeap) push(t float64) {
+	*h = append(*h, t)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !(t < q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = t
+}
+
+// pop removes and returns the minimum; the heap must be non-empty.
+func (h *sessionHeap) pop() float64 {
+	q := *h
+	min := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return min
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r] < q[child] {
+			child = r
+		}
+		if !(q[child] < last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return min
 }
 
 // gapSample draws one think gap.
@@ -79,14 +115,14 @@ func (p *Sessions) gapSample(s *stats.Stream) float64 {
 // The first request fires at the session start; each subsequent request
 // follows with probability 1−1/MeanRequests after a think gap.
 func (p *Sessions) spawnSession(t float64, s *stats.Stream) {
-	heap.Push(&p.pending, t)
+	p.pending.push(t)
 	if p.MeanRequests == 1 {
 		return
 	}
 	cont := 1 - 1/p.MeanRequests
 	for s.Bernoulli(cont) {
 		t += p.gapSample(s)
-		heap.Push(&p.pending, t)
+		p.pending.push(t)
 	}
 }
 
@@ -100,11 +136,11 @@ func (p *Sessions) Next(s *stats.Stream) float64 {
 		}
 		// Materialize session arrivals that precede the earliest pending
 		// request.
-		for p.pending.Len() == 0 || p.nextArr <= p.pending[0] {
+		for len(p.pending) == 0 || p.nextArr <= p.pending[0] {
 			p.spawnSession(p.nextArr, s)
 			p.nextArr += s.ExpFloat64() / p.SessionRate
 		}
-		t := heap.Pop(&p.pending).(float64)
+		t := p.pending.pop()
 		if t < p.clock {
 			// A think gap landed in the past relative to an earlier pop —
 			// clamp (requests within a session are unordered in principle

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"container/heap"
 	"math"
 	"testing"
 
@@ -95,5 +96,87 @@ func windowCounts(p ArrivalProcess, window, horizon float64, seed uint64) []floa
 			return counts
 		}
 		counts[int(clock/window)]++
+	}
+}
+
+// refSessions is the session-train process on container/heap: the
+// reference Sessions.Next's typed heap must reproduce draw for draw.
+type refSessions struct {
+	rate, mean float64
+	gap        stats.Distribution
+	pending    refHeap
+	clock      float64
+	nextArr    float64
+}
+
+type refHeap []float64
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(float64)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	v := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return v
+}
+
+func (p *refSessions) gapSample(s *stats.Stream) float64 {
+	if p.gap != nil {
+		return p.gap.Sample(s)
+	}
+	return s.ExpFloat64()
+}
+
+func (p *refSessions) next(s *stats.Stream) float64 {
+	start := p.clock
+	if p.nextArr == 0 {
+		p.nextArr = p.clock + s.ExpFloat64()/p.rate
+	}
+	for p.pending.Len() == 0 || p.nextArr <= p.pending[0] {
+		t := p.nextArr
+		heap.Push(&p.pending, t)
+		if p.mean != 1 {
+			for s.Bernoulli(1 - 1/p.mean) {
+				t += p.gapSample(s)
+				heap.Push(&p.pending, t)
+			}
+		}
+		p.nextArr += s.ExpFloat64() / p.rate
+	}
+	t := heap.Pop(&p.pending).(float64)
+	if t < p.clock {
+		t = p.clock
+	}
+	p.clock = t
+	return p.clock - start
+}
+
+// TestSessionsMatchContainerHeap: for fixed seeds, Sessions.Next returns
+// exactly the inter-arrival sequence of the container/heap reference —
+// long trains that keep the heap deep, single-request sessions, and
+// gap distributions with ties (deterministic gaps).
+func TestSessionsMatchContainerHeap(t *testing.T) {
+	cases := []struct {
+		rate, mean float64
+		gap        stats.Distribution
+	}{
+		{5, 4, nil},
+		{10, 1, nil},
+		{2, 50, stats.NewExponential(0.5)},
+		{99.4, 10, stats.NewExponential(2)},
+		{3, 8, stats.Deterministic{Value: 0.25}},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			got, want := NewSessions(c.rate, c.mean, c.gap), &refSessions{rate: c.rate, mean: c.mean, gap: c.gap}
+			sg, sw := stats.NewStream(seed, "sessions/equiv"), stats.NewStream(seed, "sessions/equiv")
+			for i := 0; i < 20000; i++ {
+				if g, w := got.Next(sg), want.next(sw); g != w {
+					t.Fatalf("rate=%g mean=%g seed=%d: draw %d = %v, reference %v", c.rate, c.mean, seed, i, g, w)
+				}
+			}
+		}
 	}
 }
