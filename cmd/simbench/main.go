@@ -25,6 +25,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -66,8 +67,11 @@ type File struct {
 // with an optional custom events/s metric between ns/op and the -benchmem
 // columns, e.g.
 // BenchmarkShardedRun/shards=4-8  30  49581163 ns/op  3011370 events/s  ...
+// The -GOMAXPROCS suffix (absent at GOMAXPROCS=1) is dropped from the
+// name, so files recorded on different machines name the same benchmarks
+// alike; the manifest config records GOMAXPROCS instead.
 var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+)\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.eE+]+) events/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+([\d.eE+]+) events/s)?(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
 
 // runBench executes one `go test -bench` invocation, count runs of each
 // benchmark, and parses its rows into one record per benchmark.
@@ -167,7 +171,11 @@ func main() {
 	flag.Parse()
 
 	man := obs.NewManifest("simbench", 0)
-	man.Config = map[string]string{"benchtime": *benchtime, "macrotime": *macrotime}
+	man.Config = map[string]string{
+		"benchtime":  *benchtime,
+		"macrotime":  *macrotime,
+		"gomaxprocs": strconv.Itoa(runtime.GOMAXPROCS(0)),
+	}
 
 	records := runBench(
 		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkTimingWheel|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",

@@ -193,41 +193,10 @@ func (r *runner) build() {
 		st.newJob = r.arenas[shard].getJobRef
 		return st
 	}
-	// demandTable resolves, per service the host runs, the rates, impact
-	// factor and station of every resource the service demands.
-	demandTable := func(h *host) {
-		h.demand = make([][]demand, len(cfg.Services))
-		for pos, svc := range h.services {
-			spec := &cfg.Services[svc]
-			for _, res := range svcResources[svc] {
-				hwRate := spec.Profile.ServingRate(res)
-				if math.IsInf(hwRate, 1) {
-					continue
-				}
-				d := demand{
-					dist:    spec.Profile.Demands[res],
-					hwRate:  hwRate,
-					natRate: nativeRate(spec.Profile, res),
-					factor:  1,
-				}
-				if cfg.Mode == Consolidated {
-					v := activeVMs(cfg.Services, h.services, res)
-					if f, err := spec.Overhead.RawFactor(res, v); err == nil && f > 0 {
-						d.factor = f
-					}
-				}
-				if h.vmStations != nil {
-					d.st = h.vmStations[pos][res]
-				} else {
-					d.st = h.stations[res]
-				}
-				h.demand[svc] = append(h.demand[svc], d)
-			}
-		}
-	}
-	newHost := func(id, shard int, services []int, capability func(string) float64) *host {
+	// resources is the sorted union of the resources the host's services
+	// demand.
+	newHost := func(id, shard int, services []int, resources []string, capability func(string) float64) *host {
 		h := &host{id: id, shard: shard, services: services, up: true, capability: capability}
-		resources := resourceSet(pick(cfg.Services, services))
 		if cfg.Mode == Consolidated && cfg.Alloc != nil {
 			// Partitioned: one station per VM per resource.
 			shares := cfg.Alloc.Shares(make([]float64, len(services)))
@@ -252,29 +221,29 @@ func (r *runner) build() {
 				h.ordered = append(h.ordered, st)
 			}
 		}
-		demandTable(h)
 		return h
 	}
 	referenceHost := func(string) float64 { return 1 }
+	all := make([]int, len(cfg.Services))
+	for i := range all {
+		all[i] = i
+	}
 
 	switch cfg.Mode {
 	case Dedicated:
 		id := 0
 		for svc := range cfg.Services {
 			for k := 0; k < cfg.Services[svc].DedicatedServers; k++ {
-				h := newHost(id, r.shardOf(svc), []int{svc}, referenceHost)
+				h := newHost(id, r.shardOf(svc), all[svc:svc+1], svcResources[svc], referenceHost)
 				id++
 				r.hosts = append(r.hosts, h)
 				r.byService[svc] = append(r.byService[svc], h)
 			}
 		}
 	case Consolidated:
-		all := make([]int, len(cfg.Services))
-		for i := range all {
-			all[i] = i
-		}
+		resources := resourceSet(cfg.Services)
 		addHost := func(id int, capability func(string) float64) {
-			h := newHost(id, 0, all, capability)
+			h := newHost(id, 0, all, resources, capability)
 			r.hosts = append(r.hosts, h)
 			for svc := range cfg.Services {
 				r.byService[svc] = append(r.byService[svc], h)
@@ -295,6 +264,8 @@ func (r *runner) build() {
 			}
 		}
 	}
+
+	r.buildDemand(svcResources)
 
 	// Periodic Rainbow rebalancing. Consolidated mode is a single
 	// coupling component, so the tick always lives on shard 0.
@@ -324,6 +295,56 @@ func (r *runner) build() {
 			}
 		}
 		sim.After(cfg.Alloc.Period(), tick)
+	}
+}
+
+// buildDemand fills every host's demand table: for each service the host
+// runs, one entry per resource the service demands, in sorted resource
+// order, resolving the rates, impact factor and station admit needs. All
+// tables are carved from two run-wide slices, so building them costs two
+// allocations whatever the fleet size.
+func (r *runner) buildDemand(svcResources [][]string) {
+	cfg := r.cfg
+	n := len(cfg.Services)
+	heads := make([][]demand, n*len(r.hosts))
+	size := 0
+	for _, h := range r.hosts {
+		for _, svc := range h.services {
+			size += len(svcResources[svc])
+		}
+	}
+	entries := make([]demand, 0, size)
+	for i, h := range r.hosts {
+		h.demand = heads[i*n : (i+1)*n : (i+1)*n]
+		for pos, svc := range h.services {
+			spec := &cfg.Services[svc]
+			start := len(entries)
+			for _, res := range svcResources[svc] {
+				hwRate := spec.Profile.ServingRate(res)
+				if math.IsInf(hwRate, 1) {
+					continue
+				}
+				d := demand{
+					dist:    spec.Profile.Demands[res],
+					hwRate:  hwRate,
+					natRate: nativeRate(spec.Profile, res),
+					factor:  1,
+				}
+				if cfg.Mode == Consolidated {
+					v := activeVMs(cfg.Services, h.services, res)
+					if f, err := spec.Overhead.RawFactor(res, v); err == nil && f > 0 {
+						d.factor = f
+					}
+				}
+				if h.vmStations != nil {
+					d.st = h.vmStations[pos][res]
+				} else {
+					d.st = h.stations[res]
+				}
+				entries = append(entries, d)
+			}
+			h.demand[svc] = entries[start:len(entries):len(entries)]
+		}
 	}
 }
 
@@ -407,17 +428,8 @@ func (r *runner) registerObs() {
 	}
 }
 
-func pick(specs []ServiceSpec, idx []int) []ServiceSpec {
-	out := make([]ServiceSpec, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, specs[i])
-	}
-	return out
-}
-
 // startDrivers launches open-loop arrival streams and closed-loop clients.
 func (r *runner) startDrivers() {
-	r.clients = make([][]func(), len(r.cfg.Services))
 	for svc := range r.cfg.Services {
 		spec := &r.cfg.Services[svc]
 		sim := r.sims[r.shardOf(svc)]
@@ -441,6 +453,9 @@ func (r *runner) startDrivers() {
 		// Closed loop: stagger client starts uniformly over one think time.
 		// Each client's dispatch callback is built once and rescheduled
 		// after every think.
+		if r.clients == nil {
+			r.clients = make([][]func(), len(r.cfg.Services))
+		}
 		r.clients[svc] = make([]func(), spec.Clients)
 		for c := 0; c < spec.Clients; c++ {
 			svc, c := svc, c
