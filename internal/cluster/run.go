@@ -190,7 +190,7 @@ func (r *runner) build() {
 
 	mkStation := func(shard int, name string, capacity float64) *station {
 		st := newStation(r.sims[shard], name, capacity, r.onStationDone)
-		st.newJob = r.arenas[shard].getJobRef
+		st.arena = r.arenas[shard]
 		return st
 	}
 	// resources is the sorted union of the resources the host's services

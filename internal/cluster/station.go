@@ -66,11 +66,11 @@ type station struct {
 	completeFn func()       // cached method value; avoids an alloc per reschedule
 	doneBuf    []*jobRef    // scratch for complete; reused across events
 	onDone     func(*request, *station)
-	// newJob allocates jobRefs. The runner points it at the shard's
-	// arena, which takes completed jobRefs back through their request;
-	// nil (direct station users) allocates each one, so stale refs stay
-	// safe to probe.
-	newJob func() *jobRef
+	// arena supplies jobRefs. The runner sets it to the shard's arena,
+	// which takes completed jobRefs back through their request; nil
+	// (direct station users) allocates each one, so stale refs stay safe
+	// to probe.
+	arena *Arena
 }
 
 func newStation(sim *desim.Simulator, name string, capacity float64, onDone func(*request, *station)) *station {
@@ -133,8 +133,8 @@ func (st *station) setCapacity(c float64) {
 func (st *station) add(req *request, work float64) *jobRef {
 	st.advance()
 	var j *jobRef
-	if st.newJob != nil {
-		j = st.newJob()
+	if st.arena != nil {
+		j = st.arena.getJobRef()
 	} else {
 		j = &jobRef{}
 	}

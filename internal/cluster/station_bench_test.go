@@ -20,7 +20,7 @@ func BenchmarkStationHighOccupancy(b *testing.B) {
 			sim := a.sim
 			done := 0
 			st := newStation(sim, "bench", 1, func(*request, *station) { done++ })
-			st.newJob = a.getJobRef
+			st.arena = a
 			for i := 0; i < k; i++ {
 				st.add(&request{}, 1e15) // background jobs that never finish
 			}
