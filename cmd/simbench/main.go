@@ -9,8 +9,8 @@
 //
 // BenchmarkShardedRun runs -count 5 times with -benchmem; its record holds
 // the medians, and its allocs/op only where all five runs agree (null
-// otherwise: the parallel shards' goroutine scheduling makes that count
-// jitter, and benchdiff leaves it ungated).
+// otherwise). The shards=4 count can differ by one between runs with its
+// goroutines' scheduling, so benchdiff leaves it ungated.
 //
 // Usage:
 //
