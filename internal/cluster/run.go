@@ -546,8 +546,10 @@ func (r *runner) admit(req *request) {
 	for i := range table {
 		d := &table[i]
 		// Sample a hardware-speed demand, rescale it to native speed, then
-		// divide by the impact factor: three separate roundings, in this
-		// order, so every run reproduces the per-request arithmetic.
+		// divide by the impact factor. Keep the three roundings separate
+		// and in this order: folding hw/nat/factor into one ratio can
+		// change the low bits of the work, and with them fixed-seed
+		// results.
 		work := d.dist.Sample(rng) * d.hwRate / d.natRate
 		work /= d.factor
 		if d.st == nil {
