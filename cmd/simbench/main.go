@@ -1,6 +1,6 @@
 // Command simbench runs the simulation-core benchmarks — the
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesimSchedule*,
-// BenchmarkTimingWheel, BenchmarkSweep*, BenchmarkServe*) plus the
+// BenchmarkDesimReschedule, BenchmarkTimingWheel, BenchmarkSweep*, BenchmarkServe*) plus the
 // whole-pipeline macro
 // benchmarks BenchmarkRepro, BenchmarkShardedRun and BenchmarkPlan — through `go test
 // -bench` and records ns/op, B/op, allocs/op and (for the whole-run
@@ -178,7 +178,7 @@ func main() {
 	}
 
 	records := runBench(
-		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkTimingWheel|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",
+		"BenchmarkStationHighOccupancy|BenchmarkDesimSchedule|BenchmarkDesimReschedule|BenchmarkTimingWheel|BenchmarkSweep|BenchmarkRepro|BenchmarkServe",
 		*benchtime, true, 1,
 		"./internal/cluster", "./internal/desim", "./internal/sweep", "./internal/serve")
 	// The whole-run shard benchmark is ~10^5 slower per op than the

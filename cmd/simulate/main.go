@@ -64,8 +64,8 @@ func main() {
 		`(amd = reference; intel = 1/1.2 capability; blade = 1/2). Overrides -hosts.`)
 	reps := flag.Int("reps", 1, "independent replications (seed, seed+1, ...); >1 reports confidence intervals")
 	workers := flag.Int("workers", 0, "parallel replication workers (0 = all CPUs); never changes results")
-	shards := flag.Int("shards", 0, "parallel shards within one run, capped at the scenario's coupling components (0 = unsharded); never changes results")
-	queue := flag.String("queue", "", `desim event queue: "auto", "heap" or "wheel" (empty = auto); never changes results`)
+	shards := flag.Int("shards", 0, "parallel shards within one run, capped at the scenario's coupling components (0 = unsharded); never changes results on the heap queue")
+	queue := flag.String("queue", "", `desim event queue: "auto", "heap" or "wheel" (empty = auto); only the heap is exact: the wheel can fire two events that share a tick out of order, and auto may pick it for sharded runs`)
 	precision := flag.Float64("precision", 0, "stop replicating once the 95% CI of pooled loss is relatively this tight (0 = off)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the replication study (0 = none)")
 	scenarioFile := flag.String("scenario", "", `run a scenario JSON file ("-" = stdin) instead of the flag-built case study`)

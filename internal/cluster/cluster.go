@@ -169,8 +169,8 @@ type Config struct {
 	// simulator, arena and clock. 0 or 1 means sequential (the pre-shard
 	// engine, event for event). Because shards share nothing during the
 	// run and all RNG substreams are derived purely from (seed, label),
-	// results are independent of the shard count and of goroutine
-	// scheduling. A non-nil Tracer forces a single shard (trace writers
+	// results on the heap queue are independent of the shard count and
+	// of goroutine scheduling (see EventQueue for the wheel's fault). A non-nil Tracer forces a single shard (trace writers
 	// are not goroutine-safe and interleaved shard clocks would garble
 	// the event log).
 	Shards int
@@ -181,16 +181,22 @@ type Config struct {
 	// sparse or far-future events spill to an internal overflow heap), or
 	// ""/"auto" (heap for sequential runs — keeping default output
 	// byte-identical release to release — and a density estimate for
-	// sharded runs). The queues pop in the identical total order, so the
-	// choice never changes results.
+	// sharded runs). Only the heap pops in the exact (time, seq) order.
+	// The wheel has a known fault: when a coarse-level block and a
+	// level-0 slot start on the same tick it can fire the later event
+	// first, moving the clock backwards (examples/scenarios/
+	// sharded-fleet.json at seed 47). A wheel run — and an auto run that
+	// picks the wheel for a sharded fleet — can therefore differ from the
+	// heap and from the sequential engine.
 	EventQueue string
 
 	// Pool, when non-nil, bounds the extra goroutines a sharded run may
 	// claim. The caller is assumed to hold one slot for the run itself
-	// (the replication engine's worker); up to Shards-1 extra slots are
-	// claimed non-blockingly, so shards × replication workers never
-	// oversubscribe the machine, and shards that find the pool busy
-	// simply run on the caller's goroutine.
+	// (the replication engine's worker); up to min(Shards, GOMAXPROCS)-1
+	// extra slots are claimed non-blockingly, so shards × replication
+	// workers never oversubscribe the machine, and shards that find the
+	// pool busy simply run on the caller's goroutine. Without a pool the
+	// same min(Shards, GOMAXPROCS) cap bounds the goroutines.
 	Pool *pool.Pool
 }
 

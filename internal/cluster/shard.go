@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -99,7 +100,7 @@ func (r *runner) shardOf(svc int) int {
 
 // wheelAutoThreshold is the estimated event count beyond which "auto"
 // prefers the timing wheel on sharded runs. Below it the heap's smaller
-// constant factors win; the choice never changes results either way.
+// constant factors win. Only the heap is exact (see Config.EventQueue).
 const wheelAutoThreshold = 1 << 17
 
 // estimatedEvents is a coarse event-volume forecast used only for queue
@@ -151,10 +152,13 @@ func (r *runner) applyQueue() {
 
 // runShards executes every shard to the horizon. Sequential runs stay on
 // the caller's goroutine (identical to the pre-shard engine); parallel
-// runs claim up to nshards-1 extra pool slots non-blockingly — the caller
-// already holds one slot for the run itself, and a busy pool just means
-// more shards run on fewer goroutines. Shards are handed out through an
-// atomic counter so an early-finishing worker picks up remaining shards.
+// runs claim extra pool slots non-blockingly — the caller already holds
+// one slot for the run itself, and a busy pool just means more shards run
+// on fewer goroutines. The caller plus its extra workers never outnumber
+// min(nshards, GOMAXPROCS): shards are CPU-bound, so a goroutine beyond
+// the processor count only adds switching, even when no pool bounds the
+// run. Shards are handed out through an atomic counter so an
+// early-finishing worker picks up remaining shards.
 func (r *runner) runShards() {
 	start := time.Now()
 	defer func() { r.elapsed = time.Since(start).Seconds() }()
@@ -162,8 +166,9 @@ func (r *runner) runShards() {
 		r.sims[0].Run(r.cfg.Horizon)
 		return
 	}
+	workers := min(r.nshards, runtime.GOMAXPROCS(0))
 	extra := 0
-	for extra < r.nshards-1 && r.cfg.Pool.TryAcquire() {
+	for extra < workers-1 && r.cfg.Pool.TryAcquire() {
 		extra++
 	}
 	var next atomic.Int64

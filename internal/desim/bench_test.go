@@ -60,9 +60,10 @@ func BenchmarkTimingWheel(b *testing.B) {
 	})
 }
 
-// BenchmarkDesimScheduleCancel measures the schedule→cancel→reap path —
-// the cluster simulator's reschedule pattern, where nearly every pending
-// completion event is cancelled and replaced before it fires.
+// BenchmarkDesimScheduleCancel measures the schedule→cancel→reap path:
+// lazy deletion leaves the cancelled event queued until a later pop reaps
+// it. BenchmarkDesimReschedule measures the in-place move that replaced
+// this pattern on the cluster stations' hot path.
 func BenchmarkDesimScheduleCancel(b *testing.B) {
 	s := New()
 	fn := func() {}
@@ -74,5 +75,25 @@ func BenchmarkDesimScheduleCancel(b *testing.B) {
 		h.Cancel()
 		s.After(1, tick)
 		s.RunAll() // fires tick, reaps the cancelled event
+	}
+}
+
+// BenchmarkDesimReschedule measures the in-place move the cluster stations
+// make on every admission: 32 pending events (a shard's live working set),
+// each moved in turn to a new completion time. Each op is one Reschedule;
+// the heap never holds a dead entry, so it stays at 0 allocs/op.
+func BenchmarkDesimReschedule(b *testing.B) {
+	const live = 32
+	s := New()
+	fn := func() {}
+	hs := make([]Handle, live)
+	for k := range hs {
+		hs[k] = s.After(Time(k%7)+1, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % live
+		hs[k] = s.Reschedule(hs[k], Time(i%13)*0.25+1, fn)
 	}
 }

@@ -9,7 +9,9 @@
 // slots by (index, generation) so stale handles go inert when a slot is
 // recycled, and cancellation is lazy — a cancelled event stays queued until
 // it is popped or until cancelled events outnumber live ones, at which
-// point the queue is compacted in place. The steady-state schedule/fire
+// point the queue is compacted in place. Reschedule moves a pending event
+// to a new time where it sits in the heap, so the cancel-and-replace
+// pattern leaves no dead entry behind. The steady-state schedule/fire
 // path performs no allocations.
 package desim
 
@@ -70,13 +72,31 @@ const (
 	stateCancelled
 )
 
-// event is one arena slot.
+// event is one arena slot. pos is the slot's index in the heap while it
+// is queued there (heap mode only), so Reschedule can find it.
 type event struct {
 	at    Time
 	seq   uint64
 	fn    func()
 	gen   uint32
+	pos   int32
 	state uint8
+}
+
+// entry is one heap element. It carries its event's (at, seq) key inline,
+// so sifts compare keys without loading arena slots.
+type entry struct {
+	at   Time
+	seq  uint64
+	slot int32
+}
+
+// less orders entries by (at, seq): FIFO among simultaneous events.
+func (a entry) less(b entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
 }
 
 // Simulator owns the clock and the event queue. The zero value is not
@@ -85,7 +105,7 @@ type Simulator struct {
 	now       Time
 	arena     []event // slot storage; grows, never shrinks
 	free      []int32 // recycled slot indexes
-	queue     []int32 // binary min-heap of slot indexes, keyed by (at, seq)
+	queue     []entry // binary min-heap keyed by (at, seq)
 	seq       uint64
 	cancelled int // cancelled events still sitting in queue
 	stopped   bool
@@ -116,9 +136,9 @@ type TraceOp uint8
 
 // Scheduler operations reported to a Tracer.
 const (
-	TraceSchedule TraceOp = iota // event accepted by At/After; at = firing time
+	TraceSchedule TraceOp = iota // event accepted by At/After/Reschedule; at = firing time
 	TraceFire                    // event popped and executed; at = firing time
-	TraceCancel                  // pending event cancelled; at = firing time it will no longer get
+	TraceCancel                  // pending event cancelled or rescheduled; at = firing time it will no longer get
 	TraceCompact                 // cancelled-event compaction pass; at = now
 )
 
@@ -150,11 +170,13 @@ func (s *Simulator) SetTracer(t Tracer) { s.tracer = t }
 
 // Stats is a point-in-time copy of the engine counters.
 type Stats struct {
-	// Scheduled counts events accepted by At/After.
+	// Scheduled counts events accepted by At/After, plus one per
+	// Reschedule.
 	Scheduled uint64
 	// Fired counts events executed.
 	Fired uint64
-	// Cancelled counts successful Handle.Cancel calls.
+	// Cancelled counts successful Handle.Cancel calls, plus one per
+	// Reschedule of a pending event.
 	Cancelled uint64
 	// Compactions counts cancelled-event compaction passes.
 	Compactions uint64
@@ -246,7 +268,7 @@ func (s *Simulator) At(t Time, fn func()) Handle {
 			s.maxQueue = n
 		}
 	} else {
-		s.queue = append(s.queue, idx)
+		s.queue = append(s.queue, entry{at: t, seq: ev.seq, slot: idx})
 		s.siftUp(len(s.queue) - 1)
 		if len(s.queue) > s.maxQueue {
 			s.maxQueue = len(s.queue)
@@ -264,6 +286,48 @@ func (s *Simulator) After(d Time, fn func()) Handle {
 	return s.At(s.now+d, fn)
 }
 
+// Reschedule moves the event h refers to so that fn runs at absolute time
+// t, and returns the event's new handle; h goes inert. The event gets a
+// fresh FIFO sequence number — the same (t, seq) key h.Cancel() followed
+// by At(t, fn) would give it — so the firing order is exactly that of
+// cancel-and-replace. On the heap the pending event is sifted to its new
+// place instead, leaving no dead entry to reap. The counters and the
+// trace record it as that pair: one cancel, then one schedule. When h is
+// not pending, or the simulator runs the timing wheel, Reschedule is
+// exactly h.Cancel() followed by At(t, fn). A t before the current time
+// panics, as in At.
+func (s *Simulator) Reschedule(h Handle, t Time, fn func()) Handle {
+	if h.sim != s || s.wheel != nil || !h.Pending() {
+		h.Cancel()
+		return s.At(t, fn)
+	}
+	if t < s.now || math.IsNaN(t) {
+		panic(fmt.Errorf("%w: now=%g, requested=%g", ErrPast, s.now, t))
+	}
+	ev := &s.arena[h.idx]
+	s.cancelledTotal++
+	if s.tracer != nil {
+		s.tracer.TraceEvent(TraceCancel, s.now, ev.at)
+	}
+	earlier := t < ev.at
+	ev.at, ev.seq, ev.fn = t, s.seq, fn
+	ev.gen++ // h now names the cancelled event, which is gone
+	s.seq++
+	i := int(ev.pos)
+	s.queue[i] = entry{at: t, seq: ev.seq, slot: h.idx}
+	// The fresh seq makes the key larger unless t moved earlier.
+	if earlier {
+		s.siftUp(i)
+	} else {
+		s.siftDown(i)
+	}
+	s.scheduled++
+	if s.tracer != nil {
+		s.tracer.TraceEvent(TraceSchedule, s.now, t)
+	}
+	return Handle{sim: s, idx: h.idx, gen: ev.gen}
+}
+
 // Stop halts the run loop after the currently executing event returns.
 func (s *Simulator) Stop() { s.stopped = true }
 
@@ -278,11 +342,12 @@ func (s *Simulator) Run(horizon Time) uint64 {
 	s.stopped = false
 	var count uint64
 	for len(s.queue) > 0 && !s.stopped {
-		idx := s.queue[0]
-		ev := &s.arena[idx]
-		if ev.at > horizon {
+		top := s.queue[0]
+		if top.at > horizon {
 			break
 		}
+		idx := top.slot
+		ev := &s.arena[idx]
 		s.popTop()
 		if ev.state == stateCancelled {
 			s.cancelled--
@@ -395,12 +460,16 @@ func (s *Simulator) maybeCompact() {
 		return
 	}
 	kept := s.queue[:0]
-	for _, idx := range s.queue {
-		if s.arena[idx].state == stateCancelled {
-			s.release(idx)
+	for _, e := range s.queue {
+		ev := &s.arena[e.slot]
+		if ev.state == stateCancelled {
+			s.release(e.slot)
 			continue
 		}
-		kept = append(kept, idx)
+		// Every kept entry moves down by the number reaped before it;
+		// heapify below only rewrites the positions of entries it moves.
+		ev.pos = int32(len(kept))
+		kept = append(kept, e)
 	}
 	s.queue = kept
 	s.cancelled = 0
@@ -414,7 +483,8 @@ func (s *Simulator) maybeCompact() {
 	}
 }
 
-// less orders slots by (at, seq): FIFO among simultaneous events.
+// less orders arena slots by (at, seq), the same order as entry.less; the
+// timing wheel's heaps hold bare slot indexes and compare through it.
 func (s *Simulator) less(a, b int32) bool {
 	ea, eb := &s.arena[a], &s.arena[b]
 	if ea.at != eb.at {
@@ -423,19 +493,22 @@ func (s *Simulator) less(a, b int32) bool {
 	return ea.seq < eb.seq
 }
 
-// siftUp restores the heap property from position i toward the root.
+// siftUp restores the heap property from position i toward the root,
+// recording the new position of every entry it moves.
 func (s *Simulator) siftUp(i int) {
 	q := s.queue
 	node := q[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !s.less(node, q[parent]) {
+		if !node.less(q[parent]) {
 			break
 		}
 		q[i] = q[parent]
+		s.arena[q[i].slot].pos = int32(i)
 		i = parent
 	}
 	q[i] = node
+	s.arena[node.slot].pos = int32(i)
 }
 
 // popTop removes the minimum element.
@@ -449,7 +522,8 @@ func (s *Simulator) popTop() {
 	}
 }
 
-// siftDown restores the heap property from position i toward the leaves.
+// siftDown restores the heap property from position i toward the leaves,
+// recording the new position of every entry it moves.
 func (s *Simulator) siftDown(i int) {
 	q := s.queue
 	n := len(q)
@@ -459,16 +533,18 @@ func (s *Simulator) siftDown(i int) {
 		if child >= n {
 			break
 		}
-		if r := child + 1; r < n && s.less(q[r], q[child]) {
+		if r := child + 1; r < n && q[r].less(q[child]) {
 			child = r
 		}
-		if !s.less(q[child], node) {
+		if !q[child].less(node) {
 			break
 		}
 		q[i] = q[child]
+		s.arena[q[i].slot].pos = int32(i)
 		i = child
 	}
 	q[i] = node
+	s.arena[node.slot].pos = int32(i)
 }
 
 // arenaSize reports the number of slots ever allocated (test hook for slot

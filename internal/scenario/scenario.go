@@ -84,8 +84,10 @@ type Scenario struct {
 
 	// EventQueue selects the discrete-event queue implementation per
 	// shard: "heap", "wheel", or ""/"auto" (heap for sequential runs, a
-	// density heuristic for sharded ones). The queues fire events in the
-	// identical order, so the choice never changes results.
+	// density heuristic for sharded ones). Only the heap fires events in
+	// exact (time, seq) order: the wheel can fire two events that share a
+	// tick out of order (sharded-fleet.json at seed 47), so a wheel run —
+	// or an auto run that picks the wheel — can differ from the heap.
 	EventQueue string `json:"event_queue,omitempty"`
 
 	// Periods, when non-nil, makes the scenario time-aware: named time
