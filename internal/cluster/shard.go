@@ -155,10 +155,10 @@ func (r *runner) applyQueue() {
 // runs claim extra pool slots non-blockingly — the caller already holds
 // one slot for the run itself, and a busy pool just means more shards run
 // on fewer goroutines. The caller plus its extra workers never outnumber
-// min(nshards, GOMAXPROCS): shards are CPU-bound, so a goroutine beyond
-// the processor count only adds switching, even when no pool bounds the
-// run. Shards are handed out through an atomic counter so an
-// early-finishing worker picks up remaining shards.
+// min(nshards, GOMAXPROCS), so a run never holds pool slots, or starts
+// goroutines, for shards that could not run at the same time anyway —
+// even when no pool bounds it. Shards are handed out through an atomic
+// counter so an early-finishing worker picks up remaining shards.
 func (r *runner) runShards() {
 	start := time.Now()
 	defer func() { r.elapsed = time.Since(start).Seconds() }()
