@@ -1,7 +1,7 @@
 // Command simbench runs the simulation-core benchmarks — the
 // microbenchmarks (BenchmarkStationHighOccupancy, BenchmarkDesimSchedule*,
-// BenchmarkDesimReschedule, BenchmarkTimingWheel, BenchmarkSweep*, BenchmarkServe*) plus the
-// whole-pipeline macro
+// BenchmarkDesimReschedule, BenchmarkTimingWheel, BenchmarkSweep*,
+// BenchmarkServe*) plus the whole-pipeline macro
 // benchmarks BenchmarkRepro, BenchmarkShardedRun and BenchmarkPlan — through `go test
 // -bench` and records ns/op, B/op, allocs/op and (for the whole-run
 // benchmarks) events/s in a JSON file, so the performance trajectory of
