@@ -170,9 +170,10 @@ type Config struct {
 	// engine, event for event). Because shards share nothing during the
 	// run and all RNG substreams are derived purely from (seed, label),
 	// results on the heap queue are independent of the shard count and
-	// of goroutine scheduling (see EventQueue for the wheel's fault). A non-nil Tracer forces a single shard (trace writers
-	// are not goroutine-safe and interleaved shard clocks would garble
-	// the event log).
+	// of goroutine scheduling (see EventQueue for the wheel's fault). A
+	// non-nil Tracer forces a single shard (trace writers are not
+	// goroutine-safe and interleaved shard clocks would garble the event
+	// log).
 	Shards int
 
 	// EventQueue selects the discrete-event queue implementation per
@@ -192,11 +193,10 @@ type Config struct {
 
 	// Pool, when non-nil, bounds the extra goroutines a sharded run may
 	// claim. The caller is assumed to hold one slot for the run itself
-	// (the replication engine's worker); up to min(Shards, GOMAXPROCS)-1
-	// extra slots are claimed non-blockingly, so shards × replication
-	// workers never oversubscribe the machine, and shards that find the
-	// pool busy simply run on the caller's goroutine. Without a pool the
-	// same min(Shards, GOMAXPROCS) cap bounds the goroutines.
+	// (the replication engine's worker); up to Shards-1 extra slots are
+	// claimed non-blockingly, so shards × replication workers never
+	// oversubscribe the machine, and shards that find the pool busy
+	// simply run on the caller's goroutine.
 	Pool *pool.Pool
 }
 

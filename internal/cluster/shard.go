@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,13 +151,10 @@ func (r *runner) applyQueue() {
 
 // runShards executes every shard to the horizon. Sequential runs stay on
 // the caller's goroutine (identical to the pre-shard engine); parallel
-// runs claim extra pool slots non-blockingly — the caller already holds
-// one slot for the run itself, and a busy pool just means more shards run
-// on fewer goroutines. The caller plus its extra workers never outnumber
-// min(nshards, GOMAXPROCS), so a run never holds pool slots, or starts
-// goroutines, for shards that could not run at the same time anyway —
-// even when no pool bounds it. Shards are handed out through an atomic
-// counter so an early-finishing worker picks up remaining shards.
+// runs claim up to nshards-1 extra pool slots non-blockingly — the caller
+// already holds one slot for the run itself, and a busy pool just means
+// more shards run on fewer goroutines. Shards are handed out through an
+// atomic counter so an early-finishing worker picks up remaining shards.
 func (r *runner) runShards() {
 	start := time.Now()
 	defer func() { r.elapsed = time.Since(start).Seconds() }()
@@ -166,9 +162,8 @@ func (r *runner) runShards() {
 		r.sims[0].Run(r.cfg.Horizon)
 		return
 	}
-	workers := min(r.nshards, runtime.GOMAXPROCS(0))
 	extra := 0
-	for extra < workers-1 && r.cfg.Pool.TryAcquire() {
+	for extra < r.nshards-1 && r.cfg.Pool.TryAcquire() {
 		extra++
 	}
 	var next atomic.Int64

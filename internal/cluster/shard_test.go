@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/desim"
@@ -179,45 +178,6 @@ func assertSameResult(t *testing.T, want, got *Result, shards int) {
 			if g.Hosts[i].Utilization[res] != u {
 				t.Fatalf("shards=%d host %d %s utilization diverged: %v vs %v",
 					shards, i, res, u, g.Hosts[i].Utilization[res])
-			}
-		}
-	}
-}
-
-// TestShardWorkersCappedByGOMAXPROCS runs one sharded layout at
-// GOMAXPROCS 1 and 2 on a pool wider than both: the results and engine
-// counters must match, the run may claim at most GOMAXPROCS-1 extra slots
-// (the caller's goroutine is the other worker), and every slot must be
-// back once Run returns.
-func TestShardWorkersCappedByGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want *Result
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		p, err := pool.New(4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := fourServiceConfig(4)
-		cfg.Pool = p
-		got, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Active() != 0 {
-			t.Fatalf("GOMAXPROCS=%d leaked %d pool slots", procs, p.Active())
-		}
-		if p.Peak() > procs-1 {
-			t.Fatalf("GOMAXPROCS=%d claimed %d extra workers, want at most %d", procs, p.Peak(), procs-1)
-		}
-		if want == nil {
-			want = got
-			continue
-		}
-		assertSameResult(t, want, got, 4)
-		for _, c := range []string{"desim/events_scheduled", "desim/events_fired", "desim/events_cancelled"} {
-			if w, g := want.Obs.Counters[c], got.Obs.Counters[c]; w != g {
-				t.Fatalf("%s: %d at GOMAXPROCS=1, %d at GOMAXPROCS=2", c, w, g)
 			}
 		}
 	}
